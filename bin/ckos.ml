@@ -84,7 +84,7 @@ let chaos_config ~rate ~seed ?partition_at ?(partition_for = 2_000.0)
       }
 
 let parse_policy s =
-  match Policy.choice_of_string s with
+  match Policy.of_string s with
   | Ok c -> c
   | Error msg ->
     Fmt.epr "ckos: %s@." msg;
@@ -94,7 +94,7 @@ let parse_placement s =
   match Config.tier_placement_of_string s with
   | Some p -> p
   | None ->
-    Fmt.epr "ckos: unknown placement %S (expected recency, referenced or off)@." s;
+    Fmt.epr "ckos: unknown placement %S (expected recency or off)@." s;
     Stdlib.exit 1
 
 let print_chaos_balance inst =
@@ -158,18 +158,17 @@ let run_workload cpus procs chaos chaos_seed partition_at partition_for partitio
     Stdlib.exit 1
   end;
   let config =
-    Config.with_policy
-      {
-        Config.default with
-        Config.chaos =
-          chaos_config ~rate:chaos ~seed:chaos_seed ?partition_at
-            ~partition_for ~partition_minority ();
-        fault_prefetch = prefetch;
-        mapping_batch_max = batch;
-        fast_tier_slots = tiers;
-        tier_placement = parse_placement placement;
-      }
-      (parse_policy policy)
+    {
+      Config.default with
+      Config.chaos =
+        chaos_config ~rate:chaos ~seed:chaos_seed ?partition_at
+          ~partition_for ~partition_minority ();
+      fault_prefetch = prefetch;
+      mapping_batch_max = batch;
+      fast_tier_slots = tiers;
+      tier_placement = parse_placement placement;
+      replacement = parse_policy policy;
+    }
   in
   let inst, emu = boot_and_run ~config ~cpus ~procs ~tracing:(trace_out <> None) () in
   Fmt.pr "ran %d processes in %.1f ms simulated (%d syscalls)@."
@@ -374,9 +373,8 @@ let policy_arg =
     & info [ "policy" ] ~docv:"POLICY"
         ~doc:
           "Replacement policy for every descriptor cache: $(b,clock) (the \
-           default second-chance scan), $(b,lru), $(b,fifo), $(b,learned) \
-           (online perceptron) or $(b,adaptive) (rotates policies when the \
-           hit rate degrades).")
+           default second-chance scan) or $(b,lru) (strict least recently \
+           used over sampled reference bits).")
 
 let tiers_arg =
   Arg.(
@@ -395,9 +393,8 @@ let placement_arg =
     & info [ "placement" ] ~docv:"CLASSIFIER"
         ~doc:
           "Hot/cold placement classifier for the tiered store: $(b,recency) \
-           (second-touch admission within the hot window, the default), \
-           $(b,referenced) (admit iff the evicted frame's referenced/aged \
-           bits were set) or $(b,off) (admit everything, pure LRU demotion).")
+           (second-touch admission within the hot window, the default) or \
+           $(b,off) (admit everything, pure LRU demotion).")
 
 (* Partition-plan flags, shared by `run` and `audit`: consumed by the
    SRM's distributed layer (the lowest-id node arms the plan) when the

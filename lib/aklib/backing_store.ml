@@ -28,7 +28,6 @@ type tier = Fast | Slow
 type meta = {
   mutable tier : tier; (* which tier holds the authoritative image *)
   mutable last_touch : Hw.Cost.cycles; (* last transfer touching this block *)
-  mutable referenced : bool; (* sticky referenced/aged_referenced verdict *)
   mutable gen : int; (* bumped per overwrite/free: in-flight moves that
                         captured an older generation must not apply *)
 }
@@ -42,9 +41,6 @@ type tiering = {
   t_now : unit -> Hw.Cost.cycles;
   fast : (int, Bytes.t) Hashtbl.t; (* block -> authoritative page image *)
   meta : (int, meta) Hashtbl.t; (* block -> placement metadata *)
-  ref_hint : (int, bool) Hashtbl.t; (* pfn -> referenced bits from writebacks,
-                                       consumed by the next page-out of that
-                                       frame *)
   mutable fast_live : int; (* derived fast-image count; audited *)
   mutable demoting : bool; (* at most one demotion batch in flight *)
   mutable promotes : int;
@@ -98,7 +94,6 @@ let configure_tiers t ~slots ~placement ~hot_window_us ~batch ~events ~now =
           t_now = now;
           fast = Hashtbl.create 64;
           meta = Hashtbl.create 64;
-          ref_hint = Hashtbl.create 64;
           fast_live = 0;
           demoting = false;
           promotes = 0;
@@ -212,7 +207,6 @@ let free_block t b =
     | Some m ->
       m.gen <- m.gen + 1;
       m.tier <- Slow;
-      m.referenced <- false;
       m.last_touch <- min_int / 2
     | None -> ()));
   t.free_blocks <- b :: t.free_blocks
@@ -225,54 +219,19 @@ let get_meta tr block =
   | None ->
     (* blocks written outside the tiered paths (boot loading, restage)
        default to the slow tier, untouched in the distant past *)
-    let m = { tier = Slow; last_touch = min_int / 2; referenced = false; gen = 0 } in
+    let m = { tier = Slow; last_touch = min_int / 2; gen = 0 } in
     Hashtbl.replace tr.meta block m;
     m
 
-(* Consume the frame's referenced hint (noted from mapping writebacks as
-   the frame was unmapped) and fold it into the block's metadata. *)
-let take_ref_hint tr ~pfn ~block =
-  let hint = Hashtbl.find_opt tr.ref_hint pfn in
-  Hashtbl.remove tr.ref_hint pfn;
-  let m = get_meta tr block in
-  (match hint with Some r -> m.referenced <- r | None -> ());
-  hint
-
-let note_pfn_referenced t ~pfn ~referenced =
-  match t.tiers with
-  | None -> ()
-  | Some tr ->
-    (* OR across the frame's mappers: any referenced mapping makes it hot *)
-    let prev = Option.value (Hashtbl.find_opt tr.ref_hint pfn) ~default:false in
-    Hashtbl.replace tr.ref_hint pfn (prev || referenced)
-
-(* Hints are keyed by frame and only consumed at that frame's next
-   page-out, so a frame freed without one (clean eviction, teardown) must
-   shed its hint here or the frame's next tenant inherits the previous
-   tenant's referenced bit. *)
-let clear_pfn_hint t ~pfn =
-  match t.tiers with
-  | None -> ()
-  | Some tr -> Hashtbl.remove tr.ref_hint pfn
-
-(* Hot/cold verdict for a page-out image ([prev_touch] is the block's
-   last transfer before this one). *)
-let classify_out tr ~hint ~prev_touch ~now =
+(* Hot/cold verdict for a page-out image or a slow-tier fault
+   ([prev_touch] is the block's last transfer before this one).  Under
+   recency, page-out is second-touch admission: a first-sight block goes
+   to disk — a streaming write looks exactly like a hot write at page-out
+   time, and admitting it floods the fast tier — and earns promotion on
+   its first refault. *)
+let classify tr ~prev_touch ~now =
   match tr.placement with
   | Cachekernel.Config.Tier_off -> true
-  | Cachekernel.Config.Tier_referenced -> hint = Some true
-  | Cachekernel.Config.Tier_recency ->
-    (* second-touch admission: a first-sight block goes to disk no matter
-       its referenced bits — a streaming write looks exactly like a hot
-       write at page-out time, and admitting it floods the fast tier.  The
-       block earns promotion on its first refault (see [classify_in]). *)
-    now - prev_touch <= tr.hot_window
-
-(* Promotion verdict for a slow-tier fault. *)
-let classify_in tr (m : meta) ~prev_touch ~now =
-  match tr.placement with
-  | Cachekernel.Config.Tier_off -> true
-  | Cachekernel.Config.Tier_referenced -> m.referenced
   | Cachekernel.Config.Tier_recency -> now - prev_touch <= tr.hot_window
 
 (* -- batched demotion framing --
@@ -425,9 +384,8 @@ let page_out t ?block ~pfn k =
         Hw.Disk.write t.disk ~block data (fun () -> k block))
   | Some tr ->
     let now = tr.t_now () in
-    let hint = take_ref_hint tr ~pfn ~block in
     let m = get_meta tr block in
-    let hot = classify_out tr ~hint ~prev_touch:m.last_touch ~now in
+    let hot = classify tr ~prev_touch:m.last_touch ~now in
     m.last_touch <- now;
     m.gen <- m.gen + 1;
     if hot then begin
@@ -517,7 +475,7 @@ let page_in t ~block ~pfn k =
           Hw.Disk.read t.disk ~block (fun data ->
               Hw.Phys_mem.write_bytes t.mem (Hw.Addr.addr_of_page pfn) data;
               tr.obs_service ~fast:false (tr.t_now () - start);
-              if (not fast_hit) && classify_in tr m ~prev_touch ~now:(tr.t_now ()) then
+              if (not fast_hit) && classify tr ~prev_touch ~now:(tr.t_now ()) then
                 promote t tr ~block data;
               k ()))
 

@@ -51,16 +51,6 @@ val set_observer :
 
 val tiers_enabled : t -> bool
 
-val note_pfn_referenced : t -> pfn:int -> referenced:bool -> unit
-(** Record the referenced/aged-referenced verdict from a mapping writeback
-    covering frame [pfn]; the next page-out of that frame folds it into
-    the block's hot/cold classification.  No-op on a flat store. *)
-
-val clear_pfn_hint : t -> pfn:int -> unit
-(** Drop any buffered referenced hint for frame [pfn].  Call when the
-    frame is freed or reassigned, so the next tenant's page-out cannot
-    consume the previous tenant's verdict.  No-op on a flat store. *)
-
 val alloc_block : t -> int
 val free_block : t -> int -> unit
 

@@ -9,12 +9,13 @@
 
 type t = {
   mutable free : int list; (* free page frame numbers *)
+  mutable n_free : int; (* length of [free] *)
   mutable groups : int list; (* page groups owned *)
   mutable total : int;
   mutable low_water : int; (* minimum free frames seen, for reporting *)
 }
 
-let create () = { free = []; groups = []; total = 0; low_water = max_int }
+let create () = { free = []; n_free = 0; groups = []; total = 0; low_water = max_int }
 
 (** Add all frames of page group [g] to the pool. *)
 let add_group t g =
@@ -24,6 +25,7 @@ let add_group t g =
   for i = Hw.Addr.pages_per_group - 1 downto 0 do
     t.free <- (base + i) :: t.free
   done;
+  t.n_free <- t.n_free + Hw.Addr.pages_per_group;
   t.total <- t.total + Hw.Addr.pages_per_group
 
 (** Reserve [n] specific frames out of the pool (device regions, channel
@@ -38,6 +40,7 @@ let take t n =
   in
   let taken, rest = loop n [] t.free in
   t.free <- rest;
+  t.n_free <- t.n_free - n;
   taken
 
 let alloc t =
@@ -45,10 +48,15 @@ let alloc t =
   | [] -> None
   | f :: rest ->
     t.free <- rest;
-    t.low_water <- min t.low_water (List.length rest);
+    t.n_free <- t.n_free - 1;
+    t.low_water <- min t.low_water t.n_free;
     Some f
 
-let free t pfn = t.free <- pfn :: t.free
-let available t = List.length t.free
+let free t pfn =
+  t.free <- pfn :: t.free;
+  t.n_free <- t.n_free + 1
+
+let available t = t.n_free
+let low_water t = t.low_water
 let total t = t.total
 let groups t = t.groups

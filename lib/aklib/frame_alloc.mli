@@ -17,5 +17,10 @@ val take : t -> int -> int list
 val alloc : t -> int option
 val free : t -> int -> unit
 val available : t -> int
+
+val low_water : t -> int
+(** Fewest free frames left by any {!alloc} so far ([max_int] before the
+    first). *)
+
 val total : t -> int
 val groups : t -> int list

@@ -484,7 +484,6 @@ let release_space t (vsp : Segment_mgr.vspace) =
           (match res.Segment.backing with
           | Some block -> Backing_store.free_block ak.App_kernel.store block
           | None -> ());
-          Backing_store.clear_pfn_hint ak.App_kernel.store ~pfn:res.Segment.pfn;
           Frame_alloc.free ak.App_kernel.frames res.Segment.pfn;
           Segment.set_state seg page Segment.Zero
         | Segment.On_disk block ->

@@ -163,7 +163,6 @@ let destroy_memory t (p : Process.t) =
   let release seg =
     Segment.iter_resident seg (fun _page r ->
         Segment_mgr.unmap_residents mgr r;
-        Backing_store.clear_pfn_hint t.ak.App_kernel.store ~pfn:r.Segment.pfn;
         Frame_alloc.free t.ak.App_kernel.frames r.Segment.pfn);
     Hashtbl.reset seg.Segment.table;
     seg.Segment.resident_count <- 0

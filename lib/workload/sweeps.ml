@@ -166,14 +166,12 @@ type skew_point = {
     that recognises the re-referenced hot set keeps it resident so only
     the cold stream refaults; pure clock keeps sweeping its hand into the
     hot set once the second-chance bits are spent.  The [config] override
-    carries the {!Cachekernel.Policy} choice being measured. *)
-let skew_point ?config ?(capacity = 128) ?(hot = 96) ?(cold = 64) ?(passes = 8)
-    ?(prepare = fun _ -> ()) () =
+    carries the {!Cachekernel.Policy} kind being measured. *)
+let skew_point ?config ?(capacity = 128) ?(hot = 96) ?(cold = 64) ?(passes = 8) () =
   let config =
     { (Option.value config ~default:Config.default) with Config.mapping_cache = capacity }
   in
   let inst = Setup.instance ~config ~cpus:1 () in
-  prepare inst;
   let ak = Setup.first_kernel inst in
   let mgr = ak.App_kernel.mgr in
   let vsp = Setup.ok (Segment_mgr.create_space mgr) in
