@@ -1,11 +1,12 @@
-"""Fail on repeated mapping keys in GitHub workflow files.
+"""Fail on repeated mapping keys in GitHub workflow and local action files.
 
 YAML parsers, including the one GitHub uses, silently keep the last of two
 equal keys, so a second job with an existing job id replaces the first.
 This loader raises instead.
 
 Usage: python3 .github/check_workflow_keys.py [FILE...]
-(default: every .yml/.yaml file under .github/workflows)
+(default: every .yml/.yaml file under .github/workflows, and every
+action.yml/action.yaml under .github/actions)
 """
 
 import glob
@@ -32,7 +33,10 @@ class UniqueKeyLoader(yaml.SafeLoader):
 
 def main(paths):
     paths = paths or sorted(
-        glob.glob(".github/workflows/*.yml") + glob.glob(".github/workflows/*.yaml")
+        glob.glob(".github/workflows/*.yml")
+        + glob.glob(".github/workflows/*.yaml")
+        + glob.glob(".github/actions/**/action.yml", recursive=True)
+        + glob.glob(".github/actions/**/action.yaml", recursive=True)
     )
     failed = False
     for path in paths:
